@@ -8,7 +8,9 @@
 
 type t
 
-val create : unit -> t
+(** [create ?capacity ()] is an empty set presized for ids below
+    [capacity] (default 8192); it still grows past that on demand. *)
+val create : ?capacity:int -> unit -> t
 
 val mark : t -> int -> unit
 
@@ -21,5 +23,6 @@ val unmark : t -> int -> unit
 val clear : t -> unit
 
 (** [iter_marked t f] calls [f] on every marked id in increasing order
-    (audit support; skips zero bytes, so sparse sets iterate quickly). *)
+    (audit support; skips zero 64-bit words, so sparse sets iterate
+    quickly). *)
 val iter_marked : t -> (int -> unit) -> unit

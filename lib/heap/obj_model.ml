@@ -412,7 +412,7 @@ module Registry = struct
     done
 
   let reachable_from reg roots =
-    let seen = Mark_bitset.create () in
+    let seen = Mark_bitset.create ~capacity:reg.next_id () in
     let stack = Vec.create ~capacity:256 () in
     let visit id =
       if id <> null && (not (Mark_bitset.marked seen id)) && mem reg id then begin
@@ -422,10 +422,7 @@ module Registry = struct
     in
     List.iter visit roots;
     while not (Vec.is_empty stack) do
-      let id = Vec.pop stack in
-      match find reg id with
-      | None -> ()
-      | Some obj -> iter_fields visit obj
+      iter_fields visit (find_live reg (Vec.pop stack))
     done;
     seen
 end

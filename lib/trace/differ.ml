@@ -1,7 +1,7 @@
 open Repro_engine
 open Repro_heap
-
-let null = Obj_model.null
+module Vec = Repro_util.Vec
+module Stamp_set = Repro_util.Stamp_set
 
 type divergence = {
   event_index : int;
@@ -45,30 +45,97 @@ let report_to_string r =
     ((head :: skips)
     @ List.map (fun d -> "  " ^ divergence_to_string d) r.divergences)
 
-type lane = { label : string; api : Api.t; rep : Replay.t }
+module Reach = Repro_verify.Reach
+module Verifier = Repro_verify.Verifier
+
+(* Each lane keeps its reachability pass, recorded-id buffer and oracle
+   scratch across checkpoints: a checkpoint computes reachability once
+   per lane, and the live-set comparison and the oracle both read it. *)
+type lane = {
+  label : string;
+  api : Api.t;
+  rep : Replay.t;
+  reach : Reach.t;
+  recorded : Vec.t;
+  scratch : Verifier.scratch;
+}
 
 (* The live set in *recorded* id space: reachability over the replay
    registry (mutator-determined, so it must agree across collectors),
    translated back through the replayer's id map. Ids the trace never
    allocated cannot be reachable — every object enters the heap through
-   a replayed [Alloc] — so translation is total. *)
-let live_set lane =
-  let heap = Api.heap lane.api in
-  let roots =
-    Array.to_list (Api.roots lane.api) |> List.filter (fun id -> id <> null)
-  in
-  let reach = Obj_model.Registry.reachable_from heap.Heap.registry roots in
-  let set = Hashtbl.create 256 in
-  Mark_bitset.iter_marked reach (fun id ->
-      match Replay.recorded_id lane.rep ~replay_id:id with
-      | Some rid -> Hashtbl.replace set rid ()
-      | None -> Hashtbl.replace set (-id) ());
-  set
+   a replayed [Alloc] — so translation is total; an untranslatable id
+   would appear negated. *)
+let record_live_set lane =
+  Vec.clear lane.recorded;
+  Reach.iter
+    (fun id ->
+      Vec.push lane.recorded
+        (match Replay.recorded_id lane.rep ~replay_id:id with
+        | Some rid -> rid
+        | None -> -id))
+    lane.reach
+
+(* Set equality without hashing: recorded-id-indexed stamp sets, one
+   for each side, reused across checkpoints. A negated id cannot be
+   indexed; it answers "differ" and defers to the materialised path, as
+   any real difference does. *)
+type marks = { base : Stamp_set.t; seen : Stamp_set.t }
+
+let create_marks () = { base = Stamp_set.create (); seen = Stamp_set.create () }
+
+(* Adds [v]'s ids to [set]; the number of distinct ids, or -1 if one is
+   negated. *)
+let stamp set v =
+  Stamp_set.clear set;
+  Vec.fold
+    (fun n id ->
+      if n < 0 || id < 0 then -1
+      else if Stamp_set.add set id then n + 1
+      else n)
+    0 v
+
+(* Equal as sets: as many distinct ids, each of them in [base]. *)
+let same_set m base lane =
+  let n = stamp m.base base in
+  n >= 0
+  && n = stamp m.seen lane
+  && not (Vec.exists (fun id -> not (Stamp_set.mem m.base id)) lane)
 
 (* Ids present in [a] but not [b], ascending. *)
 let missing_from a b =
   Hashtbl.fold (fun id () acc -> if Hashtbl.mem b id then acc else id :: acc) a []
   |> List.sort compare
+
+let set_of v =
+  let set = Hashtbl.create 256 in
+  Vec.iter (fun id -> Hashtbl.replace set id ()) v;
+  set
+
+let divergence_with m ~base_label ~lane_label base lane =
+  if same_set m base lane then None
+  else begin
+    let base_set = set_of base and set = set_of lane in
+    let only_base = missing_from base_set set in
+    let only_lane = missing_from set base_set in
+    let diverged ~has ~lacks id n =
+      Some
+        ( Printf.sprintf "object %d" id,
+          Printf.sprintf
+            "reachable under %s but not under %s (%d object(s) differ)" has
+            lacks n )
+    in
+    match (only_base, only_lane) with
+    | [], [] -> None
+    | id :: _, _ ->
+      diverged ~has:base_label ~lacks:lane_label id
+        (List.length only_base + List.length only_lane)
+    | [], id :: _ ->
+      diverged ~has:lane_label ~lacks:base_label id (List.length only_lane)
+  end
+
+let live_set_divergence ~base_label ~lane_label base lane =
+  divergence_with (create_marks ()) ~base_label ~lane_label base lane
 
 let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
     ?(gc_threads = 1) ~trace ~collectors () =
@@ -89,7 +156,11 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
           Sim.set_faults sim fault
         | Some _ | None -> ());
         match Api.create sim heap factory with
-        | api -> Some { label; api; rep = Replay.create api trace }
+        | api ->
+          Some
+            { label; api; rep = Replay.create api trace; reach = Reach.create ();
+              recorded = Vec.create ~capacity:256 ();
+              scratch = Verifier.create_scratch () }
         | exception Repro_collectors.Conc_mark_evac.Unsupported msg ->
           skipped := (label, msg) :: !skipped;
           None)
@@ -118,36 +189,29 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
   in
   let n = Trace_format.num_events trace in
   let base = List.hd lanes in
+  let marks = create_marks () in
   let check_lanes ~event_index =
     incr checkpoints;
     let cp = !checkpoints in
+    List.iter
+      (fun lane ->
+        Reach.compute lane.reach (Api.heap lane.api).Heap.registry
+          (Api.roots lane.api);
+        record_live_set lane)
+      lanes;
     (* Live-set agreement, every lane against the first. *)
-    let base_set = live_set base in
     List.iter
       (fun lane ->
         if lane != base then begin
-          let set = live_set lane in
-          let only_base = missing_from base_set set in
-          let only_lane = missing_from set base_set in
-          (match (only_base, only_lane) with
-          | [], [] -> ()
-          | id :: _, _ ->
+          (match
+             divergence_with marks ~base_label:base.label
+               ~lane_label:lane.label base.recorded lane.recorded
+           with
+          | None -> ()
+          | Some (subject, detail) ->
             record_divergence
-              { event_index; checkpoint = cp; kind = "live-set";
-                subject = Printf.sprintf "object %d" id;
-                detail =
-                  Printf.sprintf
-                    "reachable under %s but not under %s (%d object(s) differ)"
-                    base.label lane.label
-                    (List.length only_base + List.length only_lane) }
-          | [], id :: _ ->
-            record_divergence
-              { event_index; checkpoint = cp; kind = "live-set";
-                subject = Printf.sprintf "object %d" id;
-                detail =
-                  Printf.sprintf
-                    "reachable under %s but not under %s (%d object(s) differ)"
-                    lane.label base.label (List.length only_lane) });
+              { event_index; checkpoint = cp; kind = "live-set"; subject;
+                detail });
           let sb = (Replay.output base.rep).survived_bytes in
           let sl = (Replay.output lane.rep).survived_bytes in
           if sb <> sl then
@@ -159,13 +223,15 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
                     lane.label sl }
         end)
       lanes;
-    (* Heap-integrity oracle per lane. *)
+    (* Heap-integrity oracle per lane, over the reachability pass the
+       live-set comparison already made. *)
     if verify then
       List.iter
         (fun lane ->
           incr oracle_checks;
           let viols =
-            Repro_verify.Verifier.check_heap ~roots:(Api.roots lane.api)
+            Verifier.check_heap ~scratch:lane.scratch ~reach:lane.reach
+              ~roots:(Api.roots lane.api)
               ~introspect:(Api.collector lane.api).Collector.introspect
               (Api.heap lane.api)
           in
@@ -177,7 +243,7 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
                 subject = Printf.sprintf "%s: %s" lane.label v.subject;
                 detail =
                   Printf.sprintf "%s (%d violation(s) in total)"
-                    (Repro_verify.Verifier.violation_to_string v)
+                    (Verifier.violation_to_string v)
                     (List.length viols) })
         lanes
   in

@@ -41,6 +41,21 @@ val divergence_to_string : divergence -> string
 (** One-line summary plus one line per retained divergence. *)
 val report_to_string : report -> string
 
+(** [live_set_divergence ~base_label ~lane_label base lane] is the
+    live-set check one checkpoint runs for one lane: [None] when the two
+    recorded-id sets (duplicates allowed; a negative entry is an id the
+    replayer could not translate) are equal, else the divergence's
+    [(subject, detail)] — the smallest id in [base] but not [lane] (or,
+    failing that, in [lane] but not [base]) and the count of differing
+    ids. Equality is decided from id-indexed stamps; the sets are hashed
+    and diffed only on a mismatch. *)
+val live_set_divergence :
+  base_label:string ->
+  lane_label:string ->
+  Repro_util.Vec.t ->
+  Repro_util.Vec.t ->
+  (string * string) option
+
 (** [run ~trace ~collectors ()] drives the lockstep replay.
 
     [verify] enables the per-collector integrity oracle at checkpoints.

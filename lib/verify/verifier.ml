@@ -1,6 +1,7 @@
 open Repro_heap
 open Repro_engine
 module Vec = Repro_util.Vec
+module Stamp_set = Repro_util.Stamp_set
 
 type violation = {
   module_ : string;
@@ -52,60 +53,198 @@ let state_name = function
 let describe (o : Obj_model.t) =
   Printf.sprintf "object %d (addr %d, size %d)" o.id (Obj_model.addr o) o.size
 
-let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
-    (heap : Heap.t) =
+(* --- Per-check scratch.
+
+   Every cross-check below reads slot-, block- or granule-keyed int
+   arrays and sets instead of per-check hash tables and lists. They live
+   in a [scratch] the caller keeps across checks (a verifier session, a
+   differ lane) and only ever grow. --- *)
+
+type scratch = {
+  resident : Stamp_set.t;  (* slots listed by their home block *)
+  los_owned : Stamp_set.t;  (* blocks backing a live large object *)
+  listed_free : Stamp_set.t;  (* blocks on the free list *)
+  listed_recyclable : Stamp_set.t;  (* blocks on the recyclable list *)
+  counted : Stamp_set.t;  (* slots whose [evidence] is this check's *)
+  mutable evidence : int array;  (* slot: incoming references *)
+  (* Radix-sorted (key, value) pairs — object extents keyed by start
+     granule, then RC expectations keyed by granule — plus the extents'
+     start/end/owner by build index. All seven share one length. *)
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable keys_tmp : int array;
+  mutable vals_tmp : int array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable owners : int array;
+  digits : int array;
+  reach : Reach.t;
+}
+
+let radix_bits = 11
+let radix = 1 lsl radix_bits
+
+let create_scratch () =
+  { resident = Stamp_set.create ();
+    los_owned = Stamp_set.create ();
+    listed_free = Stamp_set.create ();
+    listed_recyclable = Stamp_set.create ();
+    counted = Stamp_set.create ();
+    evidence = [||];
+    keys = [||];
+    vals = [||];
+    keys_tmp = [||];
+    vals_tmp = [||];
+    starts = [||];
+    ends = [||];
+    owners = [||];
+    digits = Array.make (radix + 1) 0;
+    reach = Reach.create () }
+
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let fit_pairs s n =
+  if n > Array.length s.keys then begin
+    s.keys <- grow s.keys n;
+    s.vals <- grow s.vals n;
+    s.keys_tmp <- grow s.keys_tmp n;
+    s.vals_tmp <- grow s.vals_tmp n;
+    s.starts <- grow s.starts n;
+    s.ends <- grow s.ends n;
+    s.owners <- grow s.owners n
+  end
+
+(* Stable LSD radix sort of the first [n] (keys, vals) pairs by key;
+   keys are non-negative and at most [max_key]. *)
+let radix_sort s n ~max_key =
+  let shift = ref 0 in
+  while max_key lsr !shift > 0 do
+    let d = s.digits and keys = s.keys and vals = s.vals in
+    let kt = s.keys_tmp and vt = s.vals_tmp in
+    let sh = !shift in
+    Array.fill d 0 (radix + 1) 0;
+    for i = 0 to n - 1 do
+      let x = ((keys.(i) lsr sh) land (radix - 1)) + 1 in
+      d.(x) <- d.(x) + 1
+    done;
+    for x = 1 to radix do
+      d.(x) <- d.(x) + d.(x - 1)
+    done;
+    for i = 0 to n - 1 do
+      let x = (keys.(i) lsr sh) land (radix - 1) in
+      let j = d.(x) in
+      d.(x) <- j + 1;
+      kt.(j) <- keys.(i);
+      vt.(j) <- vals.(i)
+    done;
+    s.keys <- kt;
+    s.vals <- vt;
+    s.keys_tmp <- keys;
+    s.vals_tmp <- vals;
+    shift := sh + radix_bits
+  done
+
+let check_heap ?scratch ?reach ?(roots = [||])
+    ?(introspect = Collector.no_introspection) (heap : Heap.t) =
+  let s = match scratch with Some s -> s | None -> create_scratch () in
+  List.iter Stamp_set.clear
+    [ s.resident; s.los_owned; s.listed_free; s.listed_recyclable; s.counted ];
   let cfg = heap.Heap.cfg in
+  let reg = heap.registry in
   let stuck = Heap_config.stuck_count cfg in
   let out = ref [] in
   let v ~module_ ~invariant ~subject ~expected ~found =
     out := { module_; invariant; subject; expected; found } :: !out
   in
-  let live_objs = ref [] in
-  Obj_model.Registry.iter
-    (fun o -> if not (Obj_model.is_freed o) then live_objs := o :: !live_objs)
-    heap.registry;
-  let live_objs = !live_objs in
+  let slots = Obj_model.Registry.slot_count reg in
+  let nblocks = Heap_config.blocks cfg in
+  (* Live objects in descending slot order, the order every per-object
+     section reports in. Subjects are rendered only for a violation. *)
+  let iter_live f =
+    for slot = slots - 1 downto 0 do
+      let o = Obj_model.Registry.handle_at_live reg slot in
+      if o.id <> Obj_model.null then f o
+    done
+  in
+  (* The (key, value) pairs of the two sorted sections: [push] appends,
+     [sort_pairs ()] sorts them by key and returns how many there are. *)
+  let npairs = ref 0 and max_key = ref 0 in
+  let push key value =
+    let i = !npairs in
+    fit_pairs s (i + 1);
+    s.keys.(i) <- key;
+    s.vals.(i) <- value;
+    if key > !max_key then max_key := key;
+    npairs := i + 1
+  in
+  let sort_pairs () =
+    radix_sort s !npairs ~max_key:!max_key;
+    !npairs
+  in
   let is_los (o : Obj_model.t) = Heap.is_los heap o in
   let geometry_ok (o : Obj_model.t) =
     let a = Obj_model.addr o in
     Addr.valid cfg a && Addr.is_granule_aligned cfg a
   in
 
-  (* --- Registry geometry, block residency, LOS backing. --- *)
-  List.iter
-    (fun (o : Obj_model.t) ->
-      let subject = describe o in
+  (* --- Registry geometry, block residency, LOS backing. An object is
+     resident-listed when its home block (the block holding its address,
+     or a large object's first backing block) lists its id: one pass over
+     every resident list answers that for all objects. --- *)
+  for b = 0 to nblocks - 1 do
+    let ids = Blocks.residents heap.blocks b in
+    for i = 0 to Vec.length ids - 1 do
+      let o = Obj_model.Registry.find_live reg (Vec.get ids i) in
+      if o.id <> Obj_model.null then begin
+        let home =
+          if is_los o then
+            match Heap.los_extent heap o with first :: _ -> first | [] -> -1
+          else Addr.block_of cfg (Obj_model.addr o)
+        in
+        if home = b then ignore (Stamp_set.add s.resident o.slot)
+      end
+    done
+  done;
+  iter_live (fun (o : Obj_model.t) ->
       let oaddr = Obj_model.addr o in
       if not (Addr.valid cfg oaddr) then
-        v ~module_:"registry" ~invariant:"addr-in-heap" ~subject
+        v ~module_:"registry" ~invariant:"addr-in-heap" ~subject:(describe o)
           ~expected:(Printf.sprintf "0 <= addr < %d" cfg.heap_bytes)
           ~found:(string_of_int oaddr)
       else if not (Addr.is_granule_aligned cfg oaddr) then
-        v ~module_:"registry" ~invariant:"addr-granule-aligned" ~subject
+        v ~module_:"registry" ~invariant:"addr-granule-aligned"
+          ~subject:(describe o)
           ~expected:(Printf.sprintf "multiple of %d" cfg.granule_bytes)
           ~found:(string_of_int oaddr)
       else if is_los o then begin
         match Heap.los_extent heap o with
         | [] ->
-          v ~module_:"los" ~invariant:"has-backing" ~subject
+          v ~module_:"los" ~invariant:"has-backing" ~subject:(describe o)
             ~expected:"at least one backing block" ~found:"none"
         | first :: _ as backing ->
           if oaddr <> Addr.block_start cfg first then
-            v ~module_:"los" ~invariant:"addr-is-first-backing" ~subject
+            v ~module_:"los" ~invariant:"addr-is-first-backing"
+              ~subject:(describe o)
               ~expected:(string_of_int (Addr.block_start cfg first))
               ~found:(string_of_int oaddr);
           List.iter
             (fun b ->
               if Blocks.state heap.blocks b <> Blocks.Los_backing then
                 v ~module_:"los" ~invariant:"backing-state"
-                  ~subject:(Printf.sprintf "%s backing block %d" subject b)
+                  ~subject:
+                    (Printf.sprintf "%s backing block %d" (describe o) b)
                   ~expected:"Los_backing"
                   ~found:(state_name (Blocks.state heap.blocks b)))
             backing;
-          if
-            not (Vec.exists (fun id -> id = o.id) (Blocks.residents heap.blocks first))
-          then
-            v ~module_:"blocks" ~invariant:"los-resident-listed" ~subject
+          if not (Stamp_set.mem s.resident o.slot) then
+            v ~module_:"blocks" ~invariant:"los-resident-listed"
+              ~subject:(describe o)
               ~expected:
                 (Printf.sprintf "id %d in block %d resident list" o.id first)
               ~found:"absent"
@@ -114,77 +253,99 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
         let b = Addr.block_of cfg oaddr in
         let b_end = Addr.block_of cfg (oaddr + o.size - 1) in
         if b <> b_end then
-          v ~module_:"registry" ~invariant:"within-one-block" ~subject
-            ~expected:"object contained in a single block"
+          v ~module_:"registry" ~invariant:"within-one-block"
+            ~subject:(describe o) ~expected:"object contained in a single block"
             ~found:(Printf.sprintf "spans blocks %d..%d" b b_end);
         (match Blocks.state heap.blocks b with
         | Blocks.Owned | Blocks.In_use | Blocks.Recyclable -> ()
         | st ->
-          v ~module_:"blocks" ~invariant:"resident-block-state" ~subject
-            ~expected:"Owned, In_use or Recyclable" ~found:(state_name st));
-        if not (Vec.exists (fun id -> id = o.id) (Blocks.residents heap.blocks b))
-        then
-          v ~module_:"blocks" ~invariant:"resident-listed" ~subject
+          v ~module_:"blocks" ~invariant:"resident-block-state"
+            ~subject:(describe o) ~expected:"Owned, In_use or Recyclable"
+            ~found:(state_name st));
+        if not (Stamp_set.mem s.resident o.slot) then
+          v ~module_:"blocks" ~invariant:"resident-listed" ~subject:(describe o)
             ~expected:(Printf.sprintf "id %d in block %d resident list" o.id b)
             ~found:"absent"
-      end)
-    live_objs;
+      end);
 
   (* Every Los_backing block must belong to a live large object. *)
-  let los_blocks = Hashtbl.create 16 in
-  List.iter
-    (fun (o : Obj_model.t) ->
+  iter_live (fun o ->
       if is_los o then
         List.iter
-          (fun b -> Hashtbl.replace los_blocks b ())
-          (Heap.los_extent heap o))
-    live_objs;
+          (fun b -> ignore (Stamp_set.add s.los_owned b))
+          (Heap.los_extent heap o));
   Blocks.iter_state heap.blocks Blocks.Los_backing (fun b ->
-      if not (Hashtbl.mem los_blocks b) then
+      if not (Stamp_set.mem s.los_owned b) then
         v ~module_:"los" ~invariant:"backing-owned"
           ~subject:(Printf.sprintf "block %d" b)
           ~expected:"backing a live large object"
           ~found:"Los_backing block with no owner");
 
-  (* --- No two live objects overlap. --- *)
-  let intervals = ref [] in
-  List.iter
-    (fun (o : Obj_model.t) ->
+  (* --- No two live objects overlap: neighbours in start order must be
+     disjoint. Extents are radix-sorted by start granule. Equal starts
+     make the order ambiguous, so then (and only then) the extents are
+     ordered as the reports have always ordered them: the reversed
+     build list under [Array.sort]. --- *)
+  let extent start stop id =
+    let i = !npairs in
+    push (Addr.granule_of cfg start) i;
+    s.starts.(i) <- start;
+    s.ends.(i) <- stop;
+    s.owners.(i) <- id
+  in
+  iter_live (fun (o : Obj_model.t) ->
       if geometry_ok o then
         if is_los o then
           List.iter
             (fun b ->
-              let s = Addr.block_start cfg b in
-              intervals := (s, s + cfg.block_bytes, o.id) :: !intervals)
+              let st = Addr.block_start cfg b in
+              extent st (st + cfg.block_bytes) o.id)
             (Heap.los_extent heap o)
         else begin
           let a = Obj_model.addr o in
-          intervals := (a, a + o.size, o.id) :: !intervals
-        end)
-    live_objs;
-  let arr = Array.of_list !intervals in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) arr;
-  for i = 0 to Array.length arr - 2 do
-    let s1, e1, id1 = arr.(i) in
-    let s2, _, id2 = arr.(i + 1) in
+          extent a (a + o.size) o.id
+        end);
+  let n = sort_pairs () in
+  let overlap s1 e1 id1 s2 id2 =
     if s2 < e1 then
       v ~module_:"registry" ~invariant:"no-overlap"
         ~subject:(Printf.sprintf "objects %d and %d" id1 id2)
         ~expected:"disjoint extents"
         ~found:(Printf.sprintf "[%d,%d) overlaps [%d,...)" s1 e1 s2)
+  in
+  let tie = ref false in
+  for i = 0 to n - 2 do
+    if s.keys.(i) = s.keys.(i + 1) then tie := true
   done;
+  if !tie then begin
+    let arr =
+      Array.init n (fun i ->
+          let j = n - 1 - i in
+          (s.starts.(j), s.ends.(j), s.owners.(j)))
+    in
+    Array.sort (fun (a, _, _) (b, _, _) -> compare a b) arr;
+    for i = 0 to n - 2 do
+      let s1, e1, id1 = arr.(i) in
+      let s2, _, id2 = arr.(i + 1) in
+      overlap s1 e1 id1 s2 id2
+    done
+  end
+  else
+    for i = 0 to n - 2 do
+      let a = s.vals.(i) and b = s.vals.(i + 1) in
+      overlap s.starts.(a) s.ends.(a) s.owners.(a) s.starts.(b) s.owners.(b)
+    done;
 
   (* --- Block states vs the RC table and the free/recyclable lists.
      The lists themselves are stale-tolerant (entries are revalidated on
      acquisition), so only the forward direction is an invariant: a block
      the state table calls Free/Recyclable must be findable by the
      allocator. --- *)
-  let in_free = Hashtbl.create 64 in
-  let in_recyclable = Hashtbl.create 64 in
-  Free_lists.iter_free heap.free (fun b -> Hashtbl.replace in_free b ());
+  Free_lists.iter_free heap.free (fun b ->
+      ignore (Stamp_set.add s.listed_free b));
   Free_lists.iter_recyclable heap.free (fun b ->
-      Hashtbl.replace in_recyclable b ());
-  for b = 0 to Heap_config.blocks cfg - 1 do
+      ignore (Stamp_set.add s.listed_recyclable b));
+  for b = 0 to nblocks - 1 do
     match Blocks.state heap.blocks b with
     | Blocks.Free ->
       if not (Rc_table.block_is_free heap.rc cfg b) then
@@ -194,7 +355,7 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
           ~found:
             (Printf.sprintf "%d live granules"
                (Rc_table.live_granules_in_block heap.rc cfg b));
-      if not (Hashtbl.mem in_free b) then
+      if not (Stamp_set.mem s.listed_free b) then
         v ~module_:"free_lists" ~invariant:"free-block-listed"
           ~subject:(Printf.sprintf "block %d" b)
           ~expected:"present on the free list" ~found:"absent"
@@ -203,7 +364,8 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
          from the list (they must not be allocated into); the sweep
          re-lists them once the target flag clears. *)
       if
-        (not (Hashtbl.mem in_recyclable b)) && not (Blocks.target heap.blocks b)
+        (not (Stamp_set.mem s.listed_recyclable b))
+        && not (Blocks.target heap.blocks b)
       then
         v ~module_:"free_lists" ~invariant:"recyclable-block-listed"
           ~subject:(Printf.sprintf "block %d" b)
@@ -226,12 +388,10 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
               (Printf.sprintf "%d live granules"
                  (Rc_table.live_granules_in_block heap.rc cfg b));
         let resident_live id =
-          match Obj_model.Registry.find heap.registry id with
-          | Some o ->
-            (not (Obj_model.is_freed o))
-            && (not (is_los o))
-            && Addr.block_of cfg (Obj_model.addr o) = b
-          | None -> false
+          let o = Obj_model.Registry.find_live reg id in
+          o.id <> Obj_model.null
+          && (not (is_los o))
+          && Addr.block_of cfg (Obj_model.addr o) = b
         in
         if Vec.exists resident_live (Blocks.residents heap.blocks b) then
           v ~module_:"reserve" ~invariant:"reserve-no-residents"
@@ -243,36 +403,47 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
   (* --- RC table vs the registry: every non-zero entry must be an object
      header or a straddle-line marker; straddle markers hold the stuck
      value. Markers of dead objects awaiting sweep are legal, so the
-     expectation is keyed on registration, not on the header count. --- *)
-  let expected_rc : (int, [ `Header | `Straddle of Obj_model.t ]) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  List.iter
-    (fun (o : Obj_model.t) ->
+     expectation is keyed on registration, not on the header count.
+     Expectations are (granule, claim) pairs — claim -1 for a header,
+     the owner's slot for a straddle line — radix-sorted by granule and
+     merged with the table's ascending non-zero scan. A header claim
+     wins; among straddle claims the first in report order does. --- *)
+  npairs := 0;
+  max_key := 0;
+  iter_live (fun (o : Obj_model.t) ->
       if geometry_ok o then begin
         let oaddr = Obj_model.addr o in
-        Hashtbl.replace expected_rc (Addr.granule_of cfg oaddr) `Header;
+        push (Addr.granule_of cfg oaddr) (-1);
         if (not (is_los o)) && o.size > cfg.line_bytes then begin
           let first, last = Addr.lines_covered cfg ~addr:oaddr ~size:o.size in
           for l = first + 1 to last - 1 do
-            let g = Addr.granule_of cfg (Addr.line_start cfg l) in
-            if not (Hashtbl.mem expected_rc g) then
-              Hashtbl.replace expected_rc g (`Straddle o)
+            push (Addr.granule_of cfg (Addr.line_start cfg l)) o.slot
           done
         end
-      end)
-    live_objs;
+      end);
+  let n = sort_pairs () in
+  let next = ref 0 in
   Rc_table.iter_nonzero heap.rc cfg (fun ~granule ~count ->
-      match Hashtbl.find_opt expected_rc granule with
-      | Some `Header -> ()
-      | Some (`Straddle o) ->
+      let keys = s.keys in
+      while !next < n && keys.(!next) < granule do
+        incr next
+      done;
+      let header = ref false and straddle = ref (-1) and k = ref !next in
+      while !k < n && keys.(!k) = granule do
+        let c = s.vals.(!k) in
+        if c < 0 then header := true else if !straddle < 0 then straddle := c;
+        incr k
+      done;
+      if !header then ()
+      else if !straddle >= 0 then begin
         if count <> stuck then
           v ~module_:"rc" ~invariant:"straddle-marker-value"
             ~subject:
               (Printf.sprintf "granule %d (straddle line of %s)" granule
-                 (describe o))
+                 (describe (Obj_model.Registry.handle_at_live reg !straddle)))
             ~expected:(string_of_int stuck) ~found:(string_of_int count)
-      | None ->
+      end
+      else
         v ~module_:"rc" ~invariant:"orphan-count"
           ~subject:
             (Printf.sprintf "granule %d (addr %d)" granule
@@ -281,8 +452,7 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
           ~found:(string_of_int count));
 
   (* Straddle markers present wherever a counted object demands them. *)
-  List.iter
-    (fun (o : Obj_model.t) ->
+  iter_live (fun (o : Obj_model.t) ->
       if
         geometry_ok o
         && (not (is_los o))
@@ -299,8 +469,7 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
               ~expected:(Printf.sprintf "marker %d at line start" stuck)
               ~found:"0"
         done
-      end)
-    live_objs;
+      end);
 
   (* --- Count discipline. --- *)
   (match introspect.Collector.rc_discipline with
@@ -308,40 +477,40 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
     (* Tracing collectors pin every object at allocation; any other
        header value means the shared line-liveness metadata is lying to
        the allocator. *)
-    List.iter
-      (fun (o : Obj_model.t) ->
+    iter_live (fun (o : Obj_model.t) ->
         if geometry_ok o then begin
           let c = Rc_table.get heap.rc cfg (Obj_model.addr o) in
           if c <> stuck then
             v ~module_:"rc" ~invariant:"pinned-header" ~subject:(describe o)
               ~expected:(string_of_int stuck) ~found:(string_of_int c)
         end)
-      live_objs
   | Collector.Exact_rc ->
     if introspect.Collector.counts_exact () then begin
       (* Deferred RC soundness: a header count can never exceed the
          evidence for it — in-heap references, roots, and references
          queued in the collector's buffers (incs not yet applied, decs
          pending). One-sided: undercounts are legal (young objects sit
-         at zero until their first pause). *)
-      let evidence = Hashtbl.create 1024 in
+         at zero until their first pause). References to dead ids can
+         match no live object, so evidence is kept per live slot. *)
+      (* An entry is read only once [counted] this check, so growing
+         need not copy. *)
+      if Array.length s.evidence < slots then s.evidence <- Array.make slots 0;
       let bump id =
-        Hashtbl.replace evidence id
-          (1 + Option.value ~default:0 (Hashtbl.find_opt evidence id))
+        let o = Obj_model.Registry.find_live reg id in
+        if o.id <> Obj_model.null then
+          if Stamp_set.add s.counted o.slot then s.evidence.(o.slot) <- 1
+          else s.evidence.(o.slot) <- s.evidence.(o.slot) + 1
       in
-      List.iter
-        (fun (o : Obj_model.t) ->
-          Obj_model.iter_fields (fun r -> if r <> Obj_model.null then bump r) o)
-        live_objs;
-      Array.iter (fun r -> if r <> Obj_model.null then bump r) roots;
+      iter_live (Obj_model.iter_fields bump);
+      Array.iter bump roots;
       List.iter bump (introspect.Collector.pending_ref_ids ());
-      List.iter
-        (fun (o : Obj_model.t) ->
+      iter_live (fun (o : Obj_model.t) ->
           if geometry_ok o then begin
             let c = Rc_table.get heap.rc cfg (Obj_model.addr o) in
             if c > 0 && c < stuck then begin
               let e =
-                Option.value ~default:0 (Hashtbl.find_opt evidence o.id)
+                if Stamp_set.mem s.counted o.slot then s.evidence.(o.slot)
+                else 0
               in
               if c > e then
                 v ~module_:"rc" ~invariant:"overcount" ~subject:(describe o)
@@ -350,7 +519,6 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
                   ~found:(string_of_int c)
             end
           end)
-        live_objs
     end);
 
   (* --- Mark bitset must be empty between traces. --- *)
@@ -381,47 +549,48 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
      filters, not corruption. --- *)
   List.iter
     (fun (src, field) ->
-      match Obj_model.Registry.find heap.registry src with
-      | Some o when not (Obj_model.is_freed o) ->
+      let o = Obj_model.Registry.find_live reg src in
+      if o.id <> Obj_model.null then
         if field < 0 || field >= Obj_model.nfields o then
           v ~module_:"remset" ~invariant:"field-in-range"
             ~subject:(Printf.sprintf "entry (%d, %d)" src field)
             ~expected:
               (Printf.sprintf "0 <= field < %d (nfields of object %d)"
                  (Obj_model.nfields o) src)
-            ~found:(string_of_int field)
-      | Some _ | None -> ())
+            ~found:(string_of_int field))
     (introspect.Collector.remset_entries ());
 
   (* --- Reachability oracle: nothing reachable from the roots may have
-     been freed. The BFS runs over the registry alone, independent of any
-     collector metadata. --- *)
-  let root_ids =
-    Array.fold_left
-      (fun acc r -> if r <> Obj_model.null then r :: acc else acc)
-      [] roots
+     been freed. The pass runs over the registry alone, independent of
+     any collector metadata; the caller may hand in one it already made
+     for these roots. Dangling references are counted during the pass
+     and listed, in ascending id order, only when there are some. --- *)
+  for i = Array.length roots - 1 downto 0 do
+    let id = roots.(i) in
+    if id <> Obj_model.null && not (Obj_model.Registry.mem reg id) then
+      v ~module_:"reachability" ~invariant:"root-live"
+        ~subject:(Printf.sprintf "root slot -> id %d" id)
+        ~expected:"a registered object" ~found:"freed or unknown id"
+  done;
+  let reach =
+    match reach with
+    | Some r -> r
+    | None ->
+      Reach.compute s.reach reg roots;
+      s.reach
   in
-  List.iter
-    (fun id ->
-      if not (Obj_model.Registry.mem heap.registry id) then
-        v ~module_:"reachability" ~invariant:"root-live"
-          ~subject:(Printf.sprintf "root slot -> id %d" id)
-          ~expected:"a registered object" ~found:"freed or unknown id")
-    root_ids;
-  let reach = Obj_model.Registry.reachable_from heap.registry root_ids in
-  Mark_bitset.iter_marked reach (fun id ->
-      match Obj_model.Registry.find heap.registry id with
-      | None -> ()
-      | Some o ->
+  if Reach.dangling reach > 0 then
+    Array.iter
+      (fun id ->
         Obj_model.iteri_fields
           (fun i r ->
-            if r <> Obj_model.null && not (Obj_model.Registry.mem heap.registry r)
-            then
+            if r <> Obj_model.null && not (Obj_model.Registry.mem reg r) then
               v ~module_:"reachability" ~invariant:"no-dangling-ref"
                 ~subject:(Printf.sprintf "object %d field %d -> id %d" id i r)
                 ~expected:"reachable referent registered"
                 ~found:"freed or unknown id")
-          o);
+          (Obj_model.Registry.find_live reg id))
+      (Reach.sorted_ids reach);
 
   List.rev !out
 
@@ -434,13 +603,14 @@ type t = {
   mutable retained : (safepoint * string * violation) list;  (* reversed *)
   mutable total : int;
   mutable checks : int;
+  scratch : scratch;
 }
 
 let run_check t point label =
   t.checks <- t.checks + 1;
   let api = t.api in
   let vs =
-    check_heap ~roots:(Api.roots api)
+    check_heap ~scratch:t.scratch ~roots:(Api.roots api)
       ~introspect:(Api.collector api).Collector.introspect (Api.heap api)
   in
   List.iter
@@ -451,7 +621,10 @@ let run_check t point label =
     vs
 
 let attach ?(max_violations = 50) ~points api =
-  let t = { api; points; max_violations; retained = []; total = 0; checks = 0 } in
+  let t =
+    { api; points; max_violations; retained = []; total = 0; checks = 0;
+      scratch = create_scratch () }
+  in
   if List.mem Pre_pause points then
     (Api.heap api).Heap.on_pre_pause <- (fun () -> run_check t Pre_pause "pause");
   if List.mem Post_pause points then

@@ -37,12 +37,28 @@ val safepoint_name : safepoint -> string
     list ("pre", "post", "end", or "all"). *)
 val points_of_string : string -> (safepoint list, string) result
 
-(** [check_heap ?roots ?introspect heap] runs every integrity check once
-    and returns the violations found (empty = heap is consistent).
-    [roots] are the engine's root slots (null entries ignored);
-    [introspect] defaults to
-    {!Repro_engine.Collector.no_introspection}. Read-only. *)
+(** Reusable per-check buffers: slot- and block-keyed
+    {!Repro_util.Stamp_set}s, int arrays for radix-sorting granule keys,
+    and a {!Reach.t}. A scratch serves one caller (a verifier session, a
+    differ lane) and makes a check cost O(live objects + heap metadata)
+    without per-check tables; it grows to the largest heap it has
+    checked and is never shrunk. *)
+type scratch
+
+val create_scratch : unit -> scratch
+
+(** [check_heap ?scratch ?reach ?roots ?introspect heap] runs every
+    integrity check once and returns the violations found (empty = heap
+    is consistent). [roots] are the engine's root slots (null entries
+    ignored); [introspect] defaults to
+    {!Repro_engine.Collector.no_introspection}. [scratch] is reused when
+    given (a fresh one otherwise). [reach], when given, must be
+    {!Reach.compute} over [heap]'s registry and these [roots] with no
+    mutation since; the reachability section then reuses it instead of
+    recomputing it. Read-only. *)
 val check_heap :
+  ?scratch:scratch ->
+  ?reach:Reach.t ->
   ?roots:int array ->
   ?introspect:Repro_engine.Collector.introspection ->
   Repro_heap.Heap.t ->

@@ -15,9 +15,13 @@ echo "== verifier smoke (clean run must report zero violations) =="
 dune exec examples/quickstart.exe
 
 echo "== verifier smoke (injected fault must be caught) =="
-if dune exec bin/lxr_sim.exe -- run -b lusearch -c lxr -s 0.25 \
-    --verify=all --inject=drop-barrier:2e-3; then
-  echo "ERROR: injected corruption was not detected" >&2
+# Exit 1 is "violations found"; a crash (2) or a command-line error
+# (124) must not pass for a detection.
+status=0
+dune exec bin/lxr_sim.exe -- run -b lusearch -c lxr -s 0.25 \
+  --verify=all --inject=drop-barrier:2e-3 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "ERROR: injected-fault run exited $status, expected 1 (detected)" >&2
   exit 1
 fi
 
@@ -122,10 +126,22 @@ scripts/bench.sh --smoke --out /tmp/bench_smoke.$$.json
 rm -f /tmp/bench_smoke.$$.json
 
 echo "== trace corpus: injected fault must diverge =="
-if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
-    -c lxr,g1 --inject=drop-barrier:2e-3 --inject-into=lxr > /dev/null; then
-  echo "ERROR: injected fault produced no divergence" >&2
+# Exit 1 means "diverged"; anything else is a failure. The report must
+# also equal its golden, so the fault is still caught at the same
+# checkpoint (event 32767) with the same subjects.
+diff_out=$(mktemp)
+status=0
+dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
+  -c lxr,g1 --inject=drop-barrier:2e-3 --inject-into=lxr > "$diff_out" \
+  || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "ERROR: injected-fault diff exited $status, expected 1 (diverged)" >&2
   exit 1
 fi
+cmp "$diff_out" test/golden/diff_luindex_drop-barrier.txt || {
+  echo "ERROR: injected-fault diff report differs from its golden" >&2
+  exit 1
+}
+rm -f "$diff_out"
 
 echo "== ci ok =="

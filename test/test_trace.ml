@@ -474,6 +474,123 @@ let test_corpus_diff_clean () =
         report.total_divergences)
     (corpus_files ())
 
+(* The injected-fault diff reports of the luindex corpus trace, byte for
+   byte as `lxr_trace diff test/corpus/luindex.lxrtrace -c lxr,g1
+   --inject=SPEC --inject-into=lxr' printed them before the oracle and
+   the checkpoints were made linear-time. Between them they pin the
+   subjects, order and counts of overcount, orphan-count and
+   field-in-range reports, and the event index each fault is caught at;
+   scripts/ci.sh compares the drop-barrier report against the same
+   file. *)
+let test_injected_diff_goldens () =
+  let path = "corpus/luindex.lxrtrace" in
+  let trace = load path in
+  List.iter
+    (fun spec ->
+      let fault =
+        match Repro_engine.Fault.of_spec ~seed:trace.header.seed spec with
+        | Ok f -> f
+        | Error m -> Alcotest.fail m
+      in
+      let report =
+        Differ.run ~verify:true ~inject:("lxr", fault) ~trace
+          ~collectors:(lanes [ "lxr"; "g1" ])
+          ()
+      in
+      let name = List.hd (String.split_on_char ':' spec) in
+      check_string (spec ^ " report matches its golden")
+        (read_file (Printf.sprintf "golden/diff_luindex_%s.txt" name))
+        (Differ.report_to_string report ^ "\n"))
+    [ "drop-barrier:2e-3"; "rc-flip:2e-3"; "remset:1.0"; "skip-dec:0.05" ]
+
+(* The live-set check decides equality from id stamps and hashes the
+   sets only on a mismatch. Whatever the path, the divergence must name
+   the id and count a plain set difference names. *)
+let reference_live_set_divergence base lane =
+  let uniq = List.sort_uniq compare in
+  let b = uniq base and l = uniq lane in
+  let only_b = List.filter (fun x -> not (List.mem x l)) b in
+  let only_l = List.filter (fun x -> not (List.mem x b)) l in
+  match (only_b, only_l) with
+  | [], [] -> None
+  | id :: _, _ ->
+    Some
+      ( Printf.sprintf "object %d" id,
+        Printf.sprintf "reachable under base but not under lane (%d object(s) differ)"
+          (List.length only_b + List.length only_l) )
+  | [], id :: _ ->
+    Some
+      ( Printf.sprintf "object %d" id,
+        Printf.sprintf "reachable under lane but not under base (%d object(s) differ)"
+          (List.length only_l) )
+
+let live_set_divergence base lane =
+  Differ.live_set_divergence ~base_label:"base" ~lane_label:"lane"
+    (Repro_util.Vec.of_list base) (Repro_util.Vec.of_list lane)
+
+let test_live_set_divergence () =
+  let same base lane =
+    check
+      (Printf.sprintf "[%s] vs [%s]"
+         (String.concat ";" (List.map string_of_int base))
+         (String.concat ";" (List.map string_of_int lane)))
+      true
+      (live_set_divergence base lane = reference_live_set_divergence base lane)
+  in
+  same [] [];
+  same [ 3; 1; 2 ] [ 2; 3; 1; 1 ];
+  same [ 1; 2; 3 ] [ 1; 3 ];
+  same [ 1; 3 ] [ 3; 2; 1 ];
+  same [ 1; 2; 9 ] [ 4; 5 ];
+  same [ 7 ] [ 7; 7; 8 ];
+  same [ 5; -7 ] [ -7; 5 ];
+  same [ 5; -7 ] [ 5; 7 ];
+  check "a mismatch is reported" true
+    (live_set_divergence [ 1; 2; 3 ] [ 1; 3 ]
+    = Some ("object 2", "reachable under base but not under lane (1 object(s) differ)"))
+
+let prop_live_set_divergence =
+  QCheck.Test.make ~count:500 ~name:"live-set divergence equals the set difference"
+    QCheck.(pair (small_list (int_range (-4) 40)) (small_list (int_range (-4) 40)))
+    (fun (base, lane) ->
+      live_set_divergence base lane = reference_live_set_divergence base lane
+      && live_set_divergence base base = None)
+
+(* End to end: a lane whose collector frees a reachable object is caught
+   on the live set at the next checkpoint, against the lane that did
+   not. *)
+let test_diff_catches_freed_reachable () =
+  let g1 = Repro_collectors.Registry.find "g1" in
+  let leaky sim heap ~roots =
+    let c = g1 sim heap ~roots in
+    let polls = ref 0 in
+    { c with
+      Repro_engine.Collector.poll =
+        (fun () ->
+          c.poll ();
+          incr polls;
+          if !polls = 200 then
+            match
+              Array.find_opt (fun id -> id <> Repro_heap.Obj_model.null) roots
+            with
+            | Some id ->
+              Repro_heap.Heap.free_object heap
+                (Repro_heap.Obj_model.Registry.get heap.Repro_heap.Heap.registry id)
+            | None -> ()) }
+  in
+  let report =
+    Differ.run ~max_divergences:1 ~trace:(load "corpus/luindex.lxrtrace")
+      ~collectors:[ ("g1", g1); ("leaky", leaky) ]
+      ()
+  in
+  match report.divergences with
+  | [ d ] ->
+    check_string "live-set divergence" "live-set" d.kind;
+    check "names the lane that lost it" true
+      (String.starts_with ~prefix:"reachable under g1 but not under leaky"
+         d.detail)
+  | _ -> Alcotest.fail "expected exactly one divergence"
+
 (* --- name suggestions ------------------------------------------------- *)
 
 let test_suggest () =
@@ -528,7 +645,14 @@ let suite =
     ( "trace:diff",
       [ Alcotest.test_case "clean three-way diff" `Quick test_diff_clean;
         Alcotest.test_case "injected fault localised" `Quick
-          test_diff_localises_injected_fault ] );
+          test_diff_localises_injected_fault;
+        Alcotest.test_case "injected diff reports match goldens" `Quick
+          test_injected_diff_goldens;
+        Alcotest.test_case "live-set divergence" `Quick
+          test_live_set_divergence;
+        QCheck_alcotest.to_alcotest prop_live_set_divergence;
+        Alcotest.test_case "freed reachable object caught" `Quick
+          test_diff_catches_freed_reachable ] );
     ( "trace:corpus",
       [ Alcotest.test_case "corpus present" `Quick test_corpus_present;
         Alcotest.test_case "corpus replays everywhere" `Slow

@@ -164,6 +164,22 @@ let vec_push_pop_prop =
       let out = List.init (Vec.length v) (fun _ -> Vec.pop v) in
       out = List.rev xs)
 
+(* --- Stamp_set ------------------------------------------------------------ *)
+
+let test_stamp_set () =
+  let s = Repro_util.Stamp_set.create () in
+  check "empty" false (Repro_util.Stamp_set.mem s 3);
+  check "first add is fresh" true (Repro_util.Stamp_set.add s 3);
+  check "second add is not" false (Repro_util.Stamp_set.add s 3);
+  check "member" true (Repro_util.Stamp_set.mem s 3);
+  check "grows past its length" true (Repro_util.Stamp_set.add s 5000);
+  check "old member kept across growth" true (Repro_util.Stamp_set.mem s 3);
+  check "untouched key" false (Repro_util.Stamp_set.mem s 4);
+  Repro_util.Stamp_set.clear s;
+  check "clear empties" false
+    (Repro_util.Stamp_set.mem s 3 || Repro_util.Stamp_set.mem s 5000);
+  check "re-add after clear is fresh" true (Repro_util.Stamp_set.add s 3)
+
 (* --- Stats --------------------------------------------------------------- *)
 
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
@@ -437,6 +453,8 @@ let suite =
         Alcotest.test_case "append/sort" `Quick test_vec_append_sort;
         Alcotest.test_case "exists" `Quick test_vec_exists ]
       @ qcheck [ vec_roundtrip_prop; vec_push_pop_prop ] );
+    ( "util:stamp_set",
+      [ Alcotest.test_case "add/mem/clear" `Quick test_stamp_set ] );
     ( "util:stats",
       [ Alcotest.test_case "mean" `Quick test_stats_mean;
         Alcotest.test_case "geomean" `Quick test_stats_geomean;

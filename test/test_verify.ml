@@ -61,6 +61,27 @@ let run_injected ?(factory = Repro_lxr.Lxr.factory) ?(bench = "lusearch")
   in
   (r, fault)
 
+(* The full retained violation list of an injected run, with its check
+   count, byte for byte against a golden captured before the oracle was
+   made linear-time: order, subjects and counts, not just presence. *)
+let check_golden name (r : Runner.result) =
+  let ic = open_in_bin (Printf.sprintf "golden/verify_%s.txt" name) in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rendered =
+    Printf.sprintf "# %d checks, %d violations retained\n" r.verifier_checks
+      (List.length r.violations)
+    ^ String.concat ""
+        (List.map
+           (fun (point, label, viol) ->
+             Printf.sprintf "[%s:%s] %s\n" (Verifier.safepoint_name point)
+               label
+               (Verifier.violation_to_string viol))
+           r.violations)
+  in
+  Alcotest.(check string) (name ^ " violations match their golden") golden
+    rendered
+
 let result_has_invariant inv (r : Runner.result) =
   List.exists
     (fun (_, _, (viol : Verifier.violation)) -> viol.Verifier.invariant = inv)
@@ -157,10 +178,37 @@ let test_detects_punched_straddle_marker () =
     check "punched straddle detected" true
       (has_invariant "straddle-marker-missing" vs)
 
+(* The reusable reachability pass reaches exactly the reference BFS's
+   set, pass after pass on one value, and counts the dangling fields a
+   premature free leaves behind. *)
+let test_reach_matches_reference () =
+  let heap, api = run_mini 11 in
+  let reach = Repro_verify.Reach.create () in
+  let same label =
+    let roots = Api.roots api in
+    Repro_verify.Reach.compute reach heap.Heap.registry roots;
+    let expected = ref [] in
+    Mark_bitset.iter_marked
+      (Heap.reachable heap ~roots:(Array.to_list roots))
+      (fun id -> expected := id :: !expected);
+    Alcotest.(check (list int)) label (List.rev !expected)
+      (Array.to_list (Repro_verify.Reach.sorted_ids reach))
+  in
+  same "clean heap";
+  check_int "no dangling fields" 0 (Repro_verify.Reach.dangling reach);
+  let table = Obj_model.Registry.get heap.registry (Api.roots api).(0) in
+  let child = ref null in
+  Obj_model.iter_fields (fun r -> if r <> null then child := r) table;
+  check "table has a child" true (!child <> null);
+  Heap.free_object heap (Obj_model.Registry.get heap.registry !child);
+  same "after a premature free";
+  check "dangling field counted" true (Repro_verify.Reach.dangling reach > 0)
+
 (* --- Injected corruption matrix ----------------------------------------- *)
 
 let test_inject_drop_barrier_detected () =
   let r, fault = run_injected "drop-barrier:0.002" in
+  check_golden "drop-barrier" r;
   check "barriers were dropped" true (fault.Fault.counts.dropped_barriers > 0);
   check "run flagged" true (not r.ok);
   check "detected as overcount or dangling ref" true
@@ -169,12 +217,14 @@ let test_inject_drop_barrier_detected () =
 
 let test_inject_skip_decrement_detected () =
   let r, fault = run_injected ~factory:lxr_no_satb "skip-dec:0.05" in
+  check_golden "skip-dec" r;
   check "decrements were skipped" true (fault.Fault.counts.skipped_decrements > 0);
   check "run flagged" true (not r.ok);
   check "detected as overcount" true (result_has_invariant "overcount" r)
 
 let test_inject_rc_flip_detected () =
   let r, fault = run_injected "rc-flip:0.002" in
+  check_golden "rc-flip" r;
   check "rc entries were flipped" true (fault.Fault.counts.flipped_rc > 0);
   check "run flagged" true (not r.ok);
   check "detected in the rc cross-check" true
@@ -184,6 +234,7 @@ let test_inject_rc_flip_detected () =
 
 let test_inject_remset_corruption_detected () =
   let r, fault = run_injected "remset:1.0" in
+  check_golden "remset" r;
   check "remset entries were corrupted" true
     (fault.Fault.counts.corrupted_remsets > 0);
   check "run flagged" true (not r.ok);
@@ -192,6 +243,7 @@ let test_inject_remset_corruption_detected () =
 
 let test_inject_alloc_fail_recovers () =
   let r, fault = run_injected "alloc-fail:0.002" in
+  check_golden "alloc-fail" r;
   check "allocation failures were forced" true
     (fault.Fault.counts.forced_alloc_failures > 0);
   check "run still ok" true r.ok;
@@ -390,6 +442,8 @@ let suite =
         Alcotest.test_case "dangling root" `Quick test_detects_dangling_root;
         Alcotest.test_case "punched straddle marker" `Quick
           test_detects_punched_straddle_marker;
+        Alcotest.test_case "reach matches the reference" `Quick
+          test_reach_matches_reference;
         Alcotest.test_case "end-of-run session" `Quick
           test_end_of_run_only_session;
         Alcotest.test_case "violation cap" `Quick test_max_violations_cap ] );
